@@ -54,7 +54,13 @@ A separate **tree-elision** compilation (``compile_grammar(...,
 elide_tree=True)``) backs ``Parser.parse(data, emit="spans"|None)``: the
 generated alternatives keep the full attribute semantics but skip all
 children lists, ``Leaf`` payload copies and ``ArrayNode`` wrappers,
-returning env-carrying node shells only.
+returning env-carrying node shells only.  A **diagnosis** compilation
+(``compile_grammar(..., diagnose=True)``) backs the structured errors of
+compiled parsers: tree-elided and fully memoized, with dispatch, shape
+plans and inlining off, its failure sites record the furthest failure the
+way :mod:`repro.core.diagnose` classifies it.  :func:`stage_grammar` runs
+code generation alone, so a parser can defer CPython's ``compile()`` of a
+variant until it is first used.
 
 The compiled backend produces parse trees *identical* (``==``) to the
 interpreter; the cross-engine matrix (``tests/engine_matrix.py``) enforces
@@ -69,6 +75,10 @@ Public API:
 ``compile_grammar(grammar, memoize=True, blackboxes=None, optimizations=None,
 elide_tree=False)``
     Stage a prepared grammar and return a :class:`CompiledGrammar`.
+
+``stage_grammar(...)`` / ``StagedGrammar.load()``
+    The same compilation in two steps: code generation (which raises
+    every ``CompilationError``), then CPython ``compile()`` and ``exec``.
 
 ``CompiledGrammar.to_source()``
     Render the staged grammar as a **standalone importable module** (see
@@ -127,6 +137,11 @@ from ..ir import (
     Optimizations,
     analyze as analyze_grammar,
 )
+
+#: First line of every generated module.  ASCII, like the rest of the
+#: generated source, so CPython stores the retained ``source`` strings at
+#: one byte per character.
+MODULE_DOC = '"""Module staged by repro.core.compiler: one closure per alternative."""'
 
 #: Sentinel distinguishing "memo miss" from a memoized FAIL.
 _MISS = object()
@@ -450,6 +465,7 @@ class _GrammarCompiler:
         max_steps: Optional[int] = None,
         wall_clock: bool = False,
         analysis: Optional[GrammarAnalysis] = None,
+        diagnose: bool = False,
     ):
         self.grammar = grammar
         self.memoize = memoize
@@ -483,6 +499,13 @@ class _GrammarCompiler:
         #: children lists, Leafs or ArrayNodes — the execution mode behind
         #: ``Parser.parse(data, emit="spans"|None)``.
         self.elide = elide_tree
+        #: Diagnosis compilation (see :func:`compile_grammar`): every
+        #: failure site records into the per-parse DiagnosisRecord at
+        #: state slot ``diag_slot`` and every rule dispatcher pushes its
+        #: name on the record's rule stack (state slot ``stack_slot``).
+        self.diagnose = diagnose
+        self.diag_slot: Optional[int] = None
+        self.stack_slot: Optional[int] = None
         #: Rule name -> firstsets.DispatchPlan for byte-indexed choice, and
         #: id(local Rule) -> plan for where-rule dispatch.
         self.dispatch_plans: Dict[str, object] = {}
@@ -586,6 +609,22 @@ class _GrammarCompiler:
         if scope.uses_cells:
             body.append(f"{scope.cell_local}[{scope.cell(local)}] = {local}")
 
+    def _fail_lines(self, recorder: str, *args: str) -> List[str]:
+        """``return FAIL``, in diagnosis compilations after ``recorder``.
+
+        ``recorder`` names a :mod:`repro.core.diagnose` classification
+        function; it is called with the per-parse record followed by
+        ``args`` (source operands).
+        """
+        if not self.diagnose:
+            return ["return FAIL"]
+        call_args = ", ".join((f"st[{self.diag_slot}]",) + args)
+        return [f"{recorder}({call_args})", "return FAIL"]
+
+    def _diag_offset(self, scope: Scope) -> str:
+        """Absolute position of the alternative's current ``end``."""
+        return f"{self._lo} + {scope.end}"
+
     def _make_sink(self, alternative: Alternative, fid: str) -> _ChildSink:
         """Pick the children representation for one alternative's node."""
         if self.elide:
@@ -627,6 +666,10 @@ class _GrammarCompiler:
             # deadline stashed in cell[2].
             self.fuel_slot = len(self.memo_slots)
             self.memo_slots.append("c")
+        if self.diagnose:
+            self.diag_slot = len(self.memo_slots)
+            self.stack_slot = self.diag_slot + 1
+            self.memo_slots += ["g", "s"]
         # The analyze stage (repro.core.ir): one shared fact set instead of
         # per-backend re-derivation.  Fuel is charged where unbounded work
         # can originate: entries of recursive rules and iterations of
@@ -645,10 +688,7 @@ class _GrammarCompiler:
         self.local_plans = dict(analysis.local_plans)
         self.memo_modes.update(analysis.memo_modes)
 
-        lines: List[str] = [
-            '"""Module staged by repro.core.compiler — one closure per alternative."""',
-            "",
-        ]
+        lines: List[str] = [MODULE_DOC, ""]
         for index, name in enumerate(self.grammar.rules):
             self.rule_fns[name] = f"_r{index}_{self._token(name)}"
         for name, rule in self.grammar.rules.items():
@@ -680,11 +720,16 @@ class _GrammarCompiler:
             lines.append("")
         lines.append("def _new_state():")
         if self.fuel_slot is not None:
-            lines.append(
-                "    return [(_fuel() if _k == 'c' else {}) for _k in _SLOTS]"
-            )
+            state = "[(_fuel() if _k == 'c' else {}) for _k in _SLOTS]"
         else:
-            lines.append("    return [{} for _k in _SLOTS]")
+            state = "[{} for _k in _SLOTS]"
+        if self.diagnose:
+            lines.append(f"    _st = {state}")
+            lines.append(f"    _g = _st[{self.diag_slot}] = _DiagnosisRecord()")
+            lines.append(f"    _st[{self.stack_slot}] = _g.stack")
+            lines.append("    return _st")
+        else:
+            lines.append(f"    return {state}")
         lines.append("")
         entries = ", ".join(
             f"{name!r}: {fn}" for name, fn in self.rule_fns.items()
@@ -756,6 +801,16 @@ class _GrammarCompiler:
                 "if _c[0] < 0:",
                 "    _limit_refill(_c)",
             ]
+        attempt = self._attempt_lines(plan, alt_fns, table_token, args, cache_slot)
+        if self.diagnose:
+            # The rule stack of the reference diagnosis: one push/pop per
+            # activation (memo hits replay without one).
+            attempt = [
+                f"_s = st[{self.stack_slot}]",
+                f"_s.append({rule.name!r})",
+                *attempt,
+                "_s.pop()",
+            ]
         if memo_mode in ("dict", "dense"):
             if not toplevel:  # pragma: no cover - local rules are never memoized
                 raise CompilationError("local rules cannot be memoized")
@@ -777,23 +832,16 @@ class _GrammarCompiler:
             body.append("if _v is not _MISS:")
             body.append("    return _v")
             body += fuel_check
-            body += self._attempt_lines(plan, alt_fns, table_token, args, cache_slot)
+            body += attempt
             body.append("_m[_key] = _v")
             body.append("return _v")
-        elif plan is not None:
+        elif plan is not None or len(alt_fns) > 1 or self.diagnose:
             body += fuel_check
-            body += self._attempt_lines(plan, alt_fns, table_token, args, cache_slot)
+            body += attempt
             body.append("return _v")
-        elif len(alt_fns) == 1:
-            body += fuel_check
-            body.append(f"return {alt_fns[0]}({args})")
         else:
             body += fuel_check
-            body.append(f"_v = {alt_fns[0]}({args})")
-            for alt_fn in alt_fns[1:]:
-                body.append("if _v is FAIL:")
-                body.append(f"    _v = {alt_fn}({args})")
-            body.append("return _v")
+            body.append(f"return {alt_fns[0]}({args})")
         lines.append(f"def {fn_name}({args}):")
         lines += _indent(body)
         return lines
@@ -1129,12 +1177,19 @@ class _GrammarCompiler:
         inner += preamble
         if not scope.uses_cells:
             inner += local_defs
+        if self.diagnose:
+            inner.append("_site = None")
         inner.append("try:")
         inner += _indent(body if body else ["pass"])
         # KeyError covers missing node attributes, NameError covers
         # references evaluated before their defining term ran (both are
         # EvaluationError in the interpreter and fail the alternative).
         inner.append("except (EvaluationError, KeyError, NameError):")
+        if self.diagnose:
+            inner.append("    if _site is not None:")
+            inner.append(
+                f"        _fail_evaluation(st[{self.diag_slot}], _site, lo, {scope.end})"
+            )
         inner.append("    return FAIL")
         inner.append(
             f"return _mk_node({rule_name!r}, {{{', '.join(env_items)}}}, "
@@ -1546,18 +1601,26 @@ class _GrammarCompiler:
         if isinstance(term, TermAttrDef):
             source = compile_expr(term.expr, scope, self.namer)
             if term.name in SPECIALS:
-                body.append(f"{scope.special(term.name)} = {source}")
+                local = scope.special(term.name)
             else:
                 local = f"_v{scope.fid}_{self._token(term.name)}"
-                body.append(f"{local} = {source}")
+            self._emit_evaluation(
+                [f"{local} = {source}"], ("attribute", term.name), body
+            )
+            if term.name not in SPECIALS:
                 self._mirror(scope, local, body)
                 scope.names[term.name] = local
                 if term.name not in attr_order:
                     attr_order.append(term.name)
             return
         if isinstance(term, TermGuard):
-            body.append(f"if {compile_expr(term.expr, scope, self.namer)} == 0:")
-            body.append("    return FAIL")
+            condition = compile_expr(term.expr, scope, self.namer)
+            if self.diagnose:
+                value = self.namer.fresh("_t")
+                self._emit_evaluation([f"{value} = {condition}"], ("guard",), body)
+                condition = value
+            body.append(f"if {condition} == 0:")
+            body += _indent(self._fail_lines("_fail_guard", self._diag_offset(scope)))
             return
         if isinstance(term, TermTerminal):
             self._emit_terminal(term, scope, body, sink)
@@ -1581,6 +1644,21 @@ class _GrammarCompiler:
             return
         raise CompilationError(f"cannot compile term kind {type(term).__name__}")
 
+    def _emit_evaluation(
+        self, statements: List[str], site: Optional[tuple], body: List[str]
+    ) -> None:
+        """Emit expression-evaluating ``statements``.
+
+        Diagnosis compilations first store ``site`` in the alternative's
+        ``_site`` local: when the statements raise, the alternative's
+        handler classifies the error by it
+        (:func:`repro.core.diagnose.fail_evaluation`) — ``None`` for the
+        evaluations the reference diagnosis does not record.
+        """
+        if self.diagnose:
+            body.append(f"_site = {site!r}")
+        body += statements
+
     def _emit_interval(
         self, interval: Interval, scope: Scope, body: List[str]
     ) -> Tuple[str, str]:
@@ -1594,6 +1672,8 @@ class _GrammarCompiler:
         length = f"_hl{scope.fid}"
         left = fold(interval.left)
         right = fold(interval.right)
+        if self.diagnose:
+            return self._emit_interval_diagnosed(left, right, length, scope, body)
         left_const = left.value if isinstance(left, Num) else None
         right_const = right.value if isinstance(right, Num) else None
         if left_const is not None and right_const is not None:
@@ -1632,6 +1712,42 @@ class _GrammarCompiler:
         body.append("    return FAIL")
         return left_var, right_var
 
+    def _emit_interval_diagnosed(
+        self, left, right, length: str, scope: Scope, body: List[str]
+    ) -> Tuple[str, str]:
+        """:meth:`_emit_interval` for diagnosis compilations.
+
+        Endpoints evaluate left then right; a failed evaluation and an
+        invalid interval are classified by the reference diagnosis
+        functions at the window start.
+        """
+        operands: List[str] = []
+        statements: List[str] = []
+        for expr in (left, right):
+            if isinstance(expr, Num):
+                operands.append(repr(expr.value))
+                continue
+            source = compile_expr(expr, scope, self.namer)
+            if source in (scope.eoi, scope.start, scope.end):
+                operands.append(source)  # a bound local: cannot fail
+                continue
+            var = self.namer.fresh("_t")
+            statements.append(f"{var} = {source}")
+            operands.append(var)
+        if statements:
+            self._emit_evaluation(statements, ("interval",), body)
+        left_src, right_src = operands
+        checks = [f"{right_src} < {left_src}", f"{right_src} > {length}"]
+        if not (isinstance(left, Num) and left.value >= 0):
+            checks.insert(0, f"{left_src} < 0")
+        body.append(f"if {' or '.join(checks)}:")
+        body += _indent(
+            self._fail_lines(
+                "_fail_interval", "data", self._lo, left_src, right_src, length
+            )
+        )
+        return left_src, right_src
+
     @staticmethod
     def _plus(operand: str, amount: int) -> str:
         """Render ``operand + amount``, folding when the operand is a literal."""
@@ -1664,11 +1780,14 @@ class _GrammarCompiler:
             fits = int(right) - int(left) >= width
         except ValueError:
             fits = None
+        too_small = self._fail_lines(
+            "_fail_terminal_window", "data", self._lo, left, right, repr(literal)
+        )
         if fits is None:
             body.append(f"if {right} - {left} < {width}:")
-            body.append("    return FAIL")
+            body += _indent(too_small)
         elif not fits:
-            body.append("return FAIL")
+            body += too_small
         if literal:
             position = self.namer.fresh("_p")
             body.append(f"{position} = {self._abs(left)}")
@@ -1680,7 +1799,9 @@ class _GrammarCompiler:
                 body.append(
                     f"if data[{position}:{position} + {width}] != {literal!r}:"
                 )
-            body.append("    return FAIL")
+            body += _indent(
+                self._fail_lines("_fail_terminal", "data", position, repr(literal))
+            )
             # updStartEnd with [left, left + |s|), touched.
             body.append(f"if {left} < {scope.start}:")
             body.append(f"    {scope.start} = {left}")
@@ -1729,6 +1850,9 @@ class _GrammarCompiler:
             and name not in self._inlining
         ):
             return self._emit_inline_rule(name, left, right, scope, body)
+        # A failing rule recorded its own failures; builtins and
+        # blackboxes are classified at the call site.
+        rejected = ["return FAIL"]
         if name in bindings:
             fn, declaring = bindings[name]
             if self.opts.module_level_where:
@@ -1739,8 +1863,12 @@ class _GrammarCompiler:
             call = f"{self.rule_fns[name]}(st, data, {lo_arg}, {hi_arg})"
         elif is_builtin(name):
             call = f"{self._builtin_runner(name)}(data, {lo_arg}, {hi_arg})"
+            rejected = self._fail_lines(
+                "_fail_builtin", "data", repr(name), lo_arg, hi_arg
+            )
         elif name in self.grammar.blackboxes:
             call = f"_bb({name!r}, data, {lo_arg}, {hi_arg})"
+            rejected = self._fail_lines("_fail_blackbox", repr(name), lo_arg, hi_arg)
         else:
             raise CompilationError(
                 f"no rule, builtin or blackbox for nonterminal {name!r}"
@@ -1748,7 +1876,7 @@ class _GrammarCompiler:
         result = self.namer.fresh("_n")
         body.append(f"{result} = {call}")
         body.append(f"if {result} is FAIL:")
-        body.append("    return FAIL")
+        body += _indent(rejected)
         env = self.namer.fresh("_e")
         untouched = self.namer.fresh("_z")
         if left == "0":
@@ -1886,11 +2014,18 @@ class _GrammarCompiler:
             fits = int(right) - int(left) >= width
         except ValueError:
             fits = None
+        too_small = self._fail_lines(
+            "_fail_builtin",
+            "data",
+            repr(name),
+            self._abs(left),
+            f"{self._lo} + {right}",
+        )
         if fits is None:
             body.append(f"if {right} - {left} < {width}:")
-            body.append("    return FAIL")
+            body += _indent(too_small)
         elif not fits:
-            body.append("return FAIL")
+            body += too_small
         position = self.namer.fresh("_p")
         body.append(f"{position} = {self._abs(left)}")
         if self.elide and width == 1 and not signed:
@@ -1942,8 +2077,14 @@ class _GrammarCompiler:
         # resolve to that previous list here.
         first = self.namer.fresh("_t")
         stop = self.namer.fresh("_t")
-        body.append(f"{first} = {compile_expr(term.start, scope, self.namer)}")
-        body.append(f"{stop} = {compile_expr(term.stop, scope, self.namer)}")
+        self._emit_evaluation(
+            [
+                f"{first} = {compile_expr(term.start, scope, self.namer)}",
+                f"{stop} = {compile_expr(term.stop, scope, self.namer)}",
+            ],
+            None,
+            body,
+        )
         elements = self.namer.fresh(f"_ar{scope.fid}_{self._token(element)}")
         body.append(f"{elements} = []")
         self._mirror(scope, elements, body)
@@ -2022,6 +2163,8 @@ class _GrammarCompiler:
                 body.append(f"{record} = None")
                 self._mirror(scope, record, body)
                 scope.node_envs[name] = (record, False)
+        if self.diagnose:
+            body.append("_site = None")  # case conditions are not recorded
         first = True
         has_default = False
         for case in term.cases:
@@ -2047,7 +2190,7 @@ class _GrammarCompiler:
             first = False
         if not has_default:
             body.append("else:")
-            body.append("    return FAIL")
+            body += _indent(self._fail_lines("_fail_switch", self._diag_offset(scope)))
 
 
 # ---------------------------------------------------------------------------
@@ -2078,6 +2221,8 @@ class CompiledGrammar:
         "bulk_arrays",
         "limits",
         "fuel_slot",
+        "diag_slot",
+        "_diagnosis",
         "_entry",
         "_new_state",
         "_bb",
@@ -2105,6 +2250,10 @@ class CompiledGrammar:
         #: MemoryError are intercepted at the entry points.
         self.limits = DEFAULT_LIMITS if limits is None else limits
         self.fuel_slot = compiler.fuel_slot
+        #: State slot of the DiagnosisRecord in a diagnosis compilation
+        #: (``None`` for every other compilation).
+        self.diag_slot = compiler.diag_slot
+        self._diagnosis = None
         self.optimizations = compiler.opts
         #: Rule name -> "dict" | "dense" | "skipped" | "unmemoized":
         #: how each rule's packrat memo was specialized.
@@ -2169,16 +2318,60 @@ class CompiledGrammar:
             return self._bb(name, data, lo, hi)
         raise IPGError(f"no rule, builtin or blackbox for nonterminal {name!r}")
 
+    def run_diagnosis(self, data, name: str):
+        """Run a diagnosis compilation over all of ``data``.
+
+        Returns ``(result, record)``: the parse result (``FAIL`` on
+        non-matching input) and the
+        :class:`~repro.core.diagnose.DiagnosisRecord` its failure sites
+        filled in.  Budget and recursion errors propagate.
+        """
+        state = self._new_state()
+        record = state[self.diag_slot]
+        fn = self._entry.get(name)
+        if fn is not None:
+            return fn(state, data, 0, len(data)), record
+        # A builtin or blackbox start symbol: one primitive, classified here.
+        from ..diagnose import fail_blackbox, fail_builtin
+
+        result = self.parse_nonterminal(data, name, 0, len(data))
+        if result is FAIL:
+            if is_builtin(name):
+                fail_builtin(record, data, name, 0, len(data))
+            else:
+                fail_blackbox(record, name, 0, len(data))
+        return result, record
+
+    def diagnosis(self) -> Optional["CompiledGrammar"]:
+        """The diagnosis compilation of this grammar (built on first use).
+
+        ``None`` when the grammar cannot be staged that way (callers fall
+        back to the reference diagnosis).
+        """
+        if self.diag_slot is not None:
+            return self
+        if self._diagnosis is None:
+            try:
+                self._diagnosis = compile_grammar(
+                    self.grammar,
+                    blackboxes=self.blackboxes,
+                    limits=self.limits,
+                    diagnose=True,
+                )
+            except CompilationError:  # pragma: no cover - same checks as batch
+                self._diagnosis = False
+        return self._diagnosis or None
+
     def parse(self, data: bytes, name: Optional[str] = None):
         """Parse ``data`` whole, raising a structured error on failure.
 
         The raising counterpart of :meth:`parse_nonterminal` for callers
         using a :class:`CompiledGrammar` directly (without a ``Parser``):
-        failures are diagnosed through :mod:`repro.core.diagnose` exactly
-        like ``Parser.parse``, so every engine reports the same error
-        class and offset.
+        failures run this grammar's diagnosis compilation exactly like
+        ``Parser.parse`` on a compiled parser, so every engine reports the
+        same structured error.
         """
-        from ..diagnose import diagnose_failure  # deferred: avoids a cycle
+        from ..diagnose import diagnose_compiled, diagnose_failure  # deferred: avoids a cycle
 
         data = as_buffer(data)
         start = name or self.grammar.start
@@ -2195,7 +2388,10 @@ class CompiledGrammar:
             if 100_000 > previous_limit:
                 sys.setrecursionlimit(previous_limit)
         if result is FAIL:
-            raise diagnose_failure(
+            diagnosis = self.diagnosis()
+            if diagnosis is not None:
+                raise diagnose_compiled(diagnosis, data, start)
+            raise diagnose_failure(  # pragma: no cover - see diagnosis()
                 self.grammar,
                 data,
                 start=start,
@@ -2336,6 +2532,172 @@ def instrument_span_recording(compiled: CompiledGrammar, span_rules) -> list:
     return holder
 
 
+#: The pass set of diagnosis compilations: the canonical configuration of
+#: the reference diagnosis — every failure site visited in order (no
+#: first-byte dispatch, no fused or bulk decodes, no inlining, so every
+#: rule activation is a call that can push its name), every rule memoized.
+DIAGNOSIS_OPTIMIZATIONS = Optimizations(
+    module_level_where=True,
+    dense_memo=True,
+    skip_nonrecursive_memo=False,
+    inline_single_use=False,
+    first_byte_dispatch=False,
+    bulk_fixed_shape=False,
+)
+
+
+def _needs_fuel_cell(limits: ParseLimits) -> bool:
+    """Whether code generation reserves the fuel cell for ``limits``."""
+    return limits.max_steps is not None or limits.max_wall_ms is not None
+
+
+class StagedGrammar:
+    """Generated source of one compilation, not yet loaded.
+
+    Code generation raises every :class:`CompilationError`, so a staged
+    grammar is known to compile; :meth:`load` pays the CPython
+    ``compile()`` and ``exec`` — most of the cost — when the variant is
+    first needed.
+    """
+
+    __slots__ = ("compiler", "source", "registry", "limits", "options")
+
+    def __init__(self, compiler, source, registry, limits, options):
+        self.compiler = compiler
+        self.source = source
+        self.registry = registry
+        self.limits = limits
+        self.options = options
+
+    def load(self, limits: Optional[ParseLimits] = None) -> "CompiledGrammar":
+        """Compile the staged source into a :class:`CompiledGrammar`.
+
+        ``limits`` (default: the staging limits) are the budgets the
+        loaded grammar enforces; a budget set that changes whether the
+        fuel cell exists re-stages first.
+        """
+        limits = self.limits if limits is None else limits
+        compiler = self.compiler
+        if _needs_fuel_cell(limits) != (compiler.fuel_slot is not None):
+            return stage_grammar(
+                compiler.grammar, blackboxes=self.registry, limits=limits, **self.options
+            ).load()
+        namespace: Dict[str, object] = {
+            "FAIL": FAIL,
+            "EvaluationError": EvaluationError,
+            "_MAX_STEPS": (
+                float("inf") if limits.max_steps is None else limits.max_steps
+            ),
+            "_limit_steps": _limit_steps,
+            "_limit_refill": _limit_refill,
+            "_wall_deadline": _make_wall_deadline(limits.max_wall_ms),
+            "_MISS": _MISS,
+            "_mk_node": _mk_node,
+            "_mk_leaf": _mk_leaf,
+            "_mk_array": _mk_array,
+            "_div": _div,
+            "_mod": _mod,
+            "_shift_l": _shift_l,
+            "_shift_r": _shift_r,
+            "_aidx": _aidx_env if compiler.elide else _aidx,
+            "_E": _SHARED_EMPTY,
+            "_UB": _UB,
+            "_undef": _undef,
+            "_nonode": _nonode,
+            "_noarr": _noarr,
+            "_badexists": _badexists,
+            "_exists": _exists,
+            "_ifb": int.from_bytes,
+            "_struct": struct,
+            "_bb": _make_blackbox_runner(self.registry, elide_tree=compiler.elide),
+        }
+        if compiler.diagnose:
+            from .. import diagnose  # deferred: diagnose imports the interpreter
+
+            namespace["_DiagnosisRecord"] = diagnose.DiagnosisRecord
+            for recorder in _RECORDERS:
+                namespace[f"_{recorder}"] = getattr(diagnose, recorder)
+        namespace.update(compiler.constants)
+        try:
+            code = compile(self.source, "<ipg-compiled-grammar>", "exec")
+            exec(code, namespace)
+        except CompilationError:
+            raise
+        except Exception as exc:  # defensive: never crash a parser
+            raise CompilationError(
+                f"staging the grammar failed ({type(exc).__name__}: {exc})"
+            ) from exc
+        return CompiledGrammar(
+            compiler.grammar,
+            self.source,
+            namespace,
+            self.options["memoize"],
+            self.registry,
+            compiler,
+            limits=limits,
+        )
+
+
+#: :mod:`repro.core.diagnose` classification functions generated
+#: diagnosis code calls (bound as ``_<name>`` module globals).
+_RECORDERS = (
+    "fail_evaluation",
+    "fail_guard",
+    "fail_switch",
+    "fail_interval",
+    "fail_terminal_window",
+    "fail_terminal",
+    "fail_builtin",
+    "fail_blackbox",
+)
+
+
+def stage_grammar(
+    grammar: Union[Grammar, str],
+    memoize: bool = True,
+    blackboxes: Optional[Dict[str, object]] = None,
+    optimizations: Optional[Optimizations] = None,
+    elide_tree: bool = False,
+    stream_dispatch_cache: bool = False,
+    limits: Optional[ParseLimits] = None,
+    analysis: Optional["GrammarAnalysis"] = None,
+    diagnose: bool = False,
+) -> StagedGrammar:
+    """Generate the source :func:`compile_grammar` compiles, without
+    compiling it (same arguments; raises the same
+    :class:`~repro.core.errors.CompilationError`)."""
+    if diagnose:
+        memoize, optimizations, elide_tree = True, DIAGNOSIS_OPTIMIZATIONS, True
+    prepared = prepare_grammar(grammar)
+    resolved_limits = DEFAULT_LIMITS if limits is None else limits
+    compiler = _GrammarCompiler(
+        prepared,
+        memoize=memoize,
+        optimizations=optimizations,
+        elide_tree=elide_tree,
+        stream_dispatch_cache=stream_dispatch_cache,
+        max_steps=resolved_limits.max_steps,
+        wall_clock=resolved_limits.max_wall_ms is not None,
+        analysis=analysis,
+        diagnose=diagnose,
+    )
+    source = compiler.compile()
+    options = {
+        "memoize": memoize,
+        "optimizations": optimizations,
+        "elide_tree": elide_tree,
+        "stream_dispatch_cache": stream_dispatch_cache,
+        "diagnose": diagnose,
+    }
+    return StagedGrammar(
+        compiler,
+        source,
+        blackboxes if blackboxes is not None else {},
+        resolved_limits,
+        options,
+    )
+
+
 def compile_grammar(
     grammar: Union[Grammar, str],
     memoize: bool = True,
@@ -2345,6 +2707,7 @@ def compile_grammar(
     stream_dispatch_cache: bool = False,
     limits: Optional[ParseLimits] = None,
     analysis: Optional["GrammarAnalysis"] = None,
+    diagnose: bool = False,
 ) -> CompiledGrammar:
     """Stage ``grammar`` into specialized Python closures.
 
@@ -2364,62 +2727,22 @@ def compile_grammar(
     first-byte dispatch decisions memoized per parse, so re-entries after
     a suspension never re-read already-dispatched bytes — required for
     the compaction guarantee of compacted streams.
+
+    ``diagnose=True`` compiles the failure diagnosis
+    (:mod:`repro.core.diagnose`), run through
+    :meth:`CompiledGrammar.run_diagnosis`: a tree-elided, fully memoized
+    compilation under :data:`DIAGNOSIS_OPTIMIZATIONS` (``memoize``,
+    ``optimizations`` and ``elide_tree`` are ignored) whose failure sites
+    record the furthest failure like the reference diagnosis.
     """
-    prepared = prepare_grammar(grammar)
-    registry = blackboxes if blackboxes is not None else {}
-    resolved_limits = DEFAULT_LIMITS if limits is None else limits
-    compiler = _GrammarCompiler(
-        prepared,
+    return stage_grammar(
+        grammar,
         memoize=memoize,
+        blackboxes=blackboxes,
         optimizations=optimizations,
         elide_tree=elide_tree,
         stream_dispatch_cache=stream_dispatch_cache,
-        max_steps=resolved_limits.max_steps,
-        wall_clock=resolved_limits.max_wall_ms is not None,
+        limits=limits,
         analysis=analysis,
-    )
-    source = compiler.compile()
-    namespace: Dict[str, object] = {
-        "FAIL": FAIL,
-        "EvaluationError": EvaluationError,
-        "_MAX_STEPS": (
-            float("inf")
-            if resolved_limits.max_steps is None
-            else resolved_limits.max_steps
-        ),
-        "_limit_steps": _limit_steps,
-        "_limit_refill": _limit_refill,
-        "_wall_deadline": _make_wall_deadline(resolved_limits.max_wall_ms),
-        "_MISS": _MISS,
-        "_mk_node": _mk_node,
-        "_mk_leaf": _mk_leaf,
-        "_mk_array": _mk_array,
-        "_div": _div,
-        "_mod": _mod,
-        "_shift_l": _shift_l,
-        "_shift_r": _shift_r,
-        "_aidx": _aidx_env if elide_tree else _aidx,
-        "_E": _SHARED_EMPTY,
-        "_UB": _UB,
-        "_undef": _undef,
-        "_nonode": _nonode,
-        "_noarr": _noarr,
-        "_badexists": _badexists,
-        "_exists": _exists,
-        "_ifb": int.from_bytes,
-        "_struct": struct,
-        "_bb": _make_blackbox_runner(registry, elide_tree=elide_tree),
-    }
-    namespace.update(compiler.constants)
-    try:
-        code = compile(source, "<ipg-compiled-grammar>", "exec")
-        exec(code, namespace)
-    except CompilationError:
-        raise
-    except Exception as exc:  # defensive: never crash the Parser constructor
-        raise CompilationError(
-            f"staging the grammar failed ({type(exc).__name__}: {exc})"
-        ) from exc
-    return CompiledGrammar(
-        prepared, source, namespace, memoize, registry, compiler, limits=resolved_limits
-    )
+        diagnose=diagnose,
+    ).load()

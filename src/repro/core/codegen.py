@@ -767,10 +767,11 @@ def _doc_literal(doc: str) -> str:
 
 def _module_body(compiled) -> str:
     """The generated rule functions, stripped of the in-memory docstring."""
+    from .backends.closures import MODULE_DOC
+
     body = compiled.source
-    marker = '"""Module staged by repro.core.compiler — one closure per alternative."""'
-    if body.startswith(marker):
-        body = body[len(marker) :].lstrip("\n")
+    if body.startswith(MODULE_DOC):
+        body = body[len(MODULE_DOC) :].lstrip("\n")
     return body.rstrip("\n")
 
 

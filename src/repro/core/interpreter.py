@@ -125,7 +125,10 @@ class Parser:
         All produce identical parse trees; when the closure compiler
         cannot specialize a construct the parser silently falls back to
         the interpreter (the :attr:`backend` attribute reports the engine
-        actually in use).
+        actually in use).  The constructor decides the backend by
+        generating the tree-building closures' source; each compiled
+        variant (tree building, tree elision, failure diagnosis,
+        streaming) is compiled by CPython on first use.
     first_byte_dispatch:
         Enable first-byte dispatch (:mod:`repro.core.firstsets`): rules
         whose alternatives have distinguishable admissible first bytes
@@ -179,8 +182,10 @@ class Parser:
         self.backend = backend
         self.first_byte_dispatch = bool(first_byte_dispatch)
         self.bulk_fixed_shape = bool(bulk_fixed_shape)
-        self._compiled = None
+        self._tree_stage = None
+        self._compiled_tree = None
         self._compiled_elided = None
+        self._compiled_diag = None
         self._compiled_stream: Dict[bool, object] = {}
         self._tablevm = None
         self._tablevm_stream = None
@@ -192,10 +197,10 @@ class Parser:
         #: instrumentation bakes the recorded set into the wrappers).
         self._span_engines: Dict[frozenset, object] = {}
         if backend == "compiled":
-            from .compiler import compile_grammar  # deferred: avoids an import cycle
+            from .backends.closures import stage_grammar  # deferred: import cycle
 
             try:
-                self._compiled = compile_grammar(
+                self._tree_stage = stage_grammar(
                     self.grammar,
                     memoize=memoize,
                     blackboxes=self.blackboxes,
@@ -248,9 +253,50 @@ class Parser:
             )
         return self._shape_decoder_maps[build_tree] or None
 
+    @property
+    def _compiled(self):
+        """The tree-building compilation (loaded on first use), or ``None``
+        when the parser does not run the compiled backend."""
+        compiled = self._compiled_tree
+        if compiled is None and self._tree_stage is not None:
+            compiled = self._compiled_tree = self._tree_stage.load(self.limits)
+        return compiled
+
+    def _compilations(self) -> list:
+        """Every compiled variant built so far (for budget re-pointing)."""
+        variants = [
+            self._compiled_tree,
+            self._compiled_elided,
+            self._compiled_diag,
+            *self._compiled_stream.values(),
+        ]
+        return [compiled for compiled in variants if compiled]
+
+    def _diagnosis_compiled(self):
+        """The failure-diagnosis compilation of a compiled parser (cached).
+
+        ``None`` for the other backends, which diagnose through the
+        reference diagnosis (see :mod:`repro.core.diagnose`).
+        """
+        if self.backend != "compiled":
+            return None
+        if self._compiled_diag is None:
+            from .compiler import compile_grammar
+
+            try:
+                self._compiled_diag = compile_grammar(
+                    self.grammar,
+                    blackboxes=self.blackboxes,
+                    limits=self.limits,
+                    diagnose=True,
+                )
+            except CompilationError:  # pragma: no cover - same checks as batch
+                self._compiled_diag = False
+        return self._compiled_diag or None
+
     def _elided_compiled(self):
         """The tree-elision compilation backing ``emit="spans"``/``None``."""
-        if self._compiled is None:
+        if self.backend != "compiled":
             return None
         if self._compiled_elided is None:
             from .compiler import compile_grammar
@@ -263,6 +309,8 @@ class Parser:
                     optimizations=self._optimizations(),
                     elide_tree=True,
                     limits=self.limits,
+                    # Same pass set as the tree variant: share its analysis.
+                    analysis=self._tree_stage.compiler.analysis,
                 )
             except CompilationError:  # pragma: no cover - same checks as batch
                 self._compiled_elided = False
@@ -419,7 +467,7 @@ class Parser:
         ``NeedMoreInput`` like any other read.  ``elide_tree`` selects the
         tree-elision variant for ``emit="spans"``/validate-only streams.
         """
-        if self._compiled is None:
+        if self.backend != "compiled":
             return None
         if elide_tree not in self._compiled_stream:
             from .compiler import Optimizations, compile_grammar
@@ -545,11 +593,14 @@ class Parser:
 
         Raises a structured :class:`~repro.core.errors.ParseFailure`
         subclass when the grammar does not accept the input: the failed
-        parse is re-run through the diagnostic interpreter
-        (:mod:`repro.core.diagnose`) to classify the furthest failure
+        input is re-run through a diagnostic engine
+        (:mod:`repro.core.diagnose`) that classifies the furthest failure
         point, so the exception carries the failure class
         (:class:`~repro.core.errors.TruncatedInput`, ...), byte offset,
-        rule stack, and violated interval.
+        rule stack, and violated interval.  Compiled parsers run a
+        compiled diagnosis (built on the first failure); the other
+        backends run the reference interpreter's diagnosis, which is
+        also the oracle the compiled one is tested against.
         """
         result = self.try_parse(data, start, emit=emit, record_spans=record_spans)
         failed = (result[0] if record_spans is not None else result) is None
@@ -826,7 +877,11 @@ class _Run:
     ``(rule, lo)`` so re-entries never re-read already-dispatched bytes —
     the re-read of an in-flight spine rule's first byte on every attempt
     would pin the compaction watermark at its window start.
+    Subclasses that run the canonical configuration set ``FAST_PATHS``
+    to ``False``: no dispatch tables or shape decoders are built for them.
     """
+
+    FAST_PATHS = True
 
     __slots__ = (
         "parser",
@@ -869,13 +924,16 @@ class _Run:
         self.spans: Optional[List[tuple]] = [] if span_rules is not None else None
         self.memoize = parser.memoize and span_rules is None
         self.build = build_tree
-        self.dispatch = parser._interpreter_dispatch() or None
+        fast = self.FAST_PATHS
+        self.dispatch = (parser._interpreter_dispatch() or None) if fast else None
         self.dispatch_cache: Optional[dict] = (
             {} if dispatch_cache and self.dispatch else None
         )
         #: Fixed-shape one-shot decoders (rule name -> fn) or None.
         self.shapes = (
-            None if span_rules is not None else parser._shape_decoders(build_tree)
+            parser._shape_decoders(build_tree)
+            if fast and span_rules is None
+            else None
         )
         # Resource budgets (None = every budget unlimited; see limits.py).
         # fuel/nodes are single-element cells so checks cost one list op;
@@ -1145,11 +1203,12 @@ class _Run:
             return self._exec_switch(term, ctx, children, lo, hi, local_rules)
         raise IPGError(f"unknown term kind {type(term).__name__}")  # pragma: no cover
 
-    def _interval(self, term, ctx: EvalContext, length: int):
-        """Evaluate a term's interval; returns ``(l, r)`` or ``None`` if invalid."""
+    def _interval(self, term, ctx: EvalContext, lo: int, hi: int):
+        """Evaluate a term's interval in the window ``[lo, hi)``; returns
+        ``(l, r)`` or ``None`` if invalid."""
         left = term.interval.left.evaluate(ctx)
         right = term.interval.right.evaluate(ctx)
-        if not 0 <= left <= right <= length:
+        if not 0 <= left <= right <= hi - lo:
             return None
         return left, right
 
@@ -1161,7 +1220,7 @@ class _Run:
         lo: int,
         hi: int,
     ) -> bool:
-        bounds = self._interval(term, ctx, hi - lo)
+        bounds = self._interval(term, ctx, lo, hi)
         if bounds is None:
             return False
         left, right = bounds
@@ -1185,7 +1244,7 @@ class _Run:
         hi: int,
         local_rules: Optional[_LocalRules],
     ) -> bool:
-        bounds = self._interval(term, ctx, hi - lo)
+        bounds = self._interval(term, ctx, lo, hi)
         if bounds is None:
             return False
         left, right = bounds
@@ -1230,7 +1289,7 @@ class _Run:
         try:
             for index in range(first, stop):
                 ctx.env[term.var] = index
-                bounds = self._interval(term.element, ctx, hi - lo)
+                bounds = self._interval(term.element, ctx, lo, hi)
                 if bounds is None:
                     return False
                 left, right = bounds

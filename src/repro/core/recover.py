@@ -287,8 +287,7 @@ def diagnose_window(parser, data, name: str, lo: int, hi: int) -> Exception:
     """
     from .diagnose import _DiagRun
 
-    run = _DiagRun(parser, data, build_tree=False)
-    run._win = (lo, hi)
+    run = _DiagRun(parser, data)
     try:
         result = run.parse_nonterminal(name, lo, hi, None, None)
     except LimitExceeded as exc:
@@ -308,7 +307,7 @@ def diagnose_window(parser, data, name: str, lo: int, hi: int) -> Exception:
             f"re-parses cleanly (engines out of sync?)",
             nonterminal=name,
         )
-    return run._as_exception(name)
+    return run.diag.as_exception(name, len(data))
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +344,11 @@ class _RecoverRun(_Run):
         "max_probes",
     )
 
+    FAST_PATHS = False
+
     def __init__(self, parser, data, *, scan_bytes: int, max_probes: int):
         super().__init__(parser, data, build_tree=True)
         self.memoize = False
-        self.dispatch = None
-        self.dispatch_cache = None
-        self.shapes = None
         #: (name, lo, hi) -> recovered result (tree, ErrorNode-bearing
         #: tree, or FAIL).  Deterministic per key, so safe to reuse even
         #: when first computed inside a later-abandoned alternative.
@@ -588,7 +586,7 @@ class _RecoverRun(_Run):
     def _exec_nonterminal(self, term, ctx, children, lo, hi, local_rules):
         if not self.recovering:
             return super()._exec_nonterminal(term, ctx, children, lo, hi, local_rules)
-        bounds = self._interval(term, ctx, hi - lo)
+        bounds = self._interval(term, ctx, lo, hi)
         if bounds is None:
             return False
         left, right = bounds

@@ -82,10 +82,11 @@ def resolve_blackbox_provider(spec: Optional[str]) -> Dict[str, object]:
 def _set_wall(parser: Parser, soft_ms: Optional[int]) -> None:
     """Point every engine of ``parser`` at a fresh wall budget.
 
-    The interpreter and diagnostic re-run read ``parser.limits`` per
-    parse; the staged compilation reads its module-global
-    ``_wall_deadline`` factory (rebindable by design — AOT modules'
-    ``set_limits`` uses the same seam); the table VM takes the dataclass.
+    The interpreter and the reference diagnosis read ``parser.limits``
+    per parse, and so does a compiled variant loaded later; one already
+    loaded reads its module-global ``_wall_deadline`` factory (rebindable
+    by design — AOT modules' ``set_limits`` uses the same seam); the
+    table VM takes the dataclass.
     """
     if soft_ms is None:
         return
@@ -94,14 +95,9 @@ def _set_wall(parser: Parser, soft_ms: Optional[int]) -> None:
     from ..core.backends.closures import _make_wall_deadline
 
     factory = _make_wall_deadline(soft_ms)
-    for compiled in (
-        parser._compiled,
-        parser._compiled_elided,
-        *parser._compiled_stream.values(),
-    ):
-        if compiled is not None:
-            compiled._new_state.__globals__["_wall_deadline"] = factory
-            compiled.limits = limits
+    for compiled in parser._compilations():
+        compiled._new_state.__globals__["_wall_deadline"] = factory
+        compiled.limits = limits
     if parser._tablevm is not None:
         parser._tablevm.set_limits(limits)
 

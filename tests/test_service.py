@@ -194,7 +194,9 @@ def test_soft_deadline_degrades_to_wall_limit(dns_data):
     with ParseService(
         workers=1, backend="interpreted", soft_deadline_fraction=0.001
     ) as svc:
-        warm = svc.submit(big, format="zip", deadline_ms=120_000).result()
+        # The warm-up's in-worker budget is deadline_ms * 0.001: give it
+        # a deadline whose share (two minutes) no machine can trip.
+        warm = svc.submit(big, format="zip", deadline_ms=120_000_000).result()
         assert warm.ok
         tight = svc.submit(big, format="zip", deadline_ms=2_000).result()
         assert isinstance(tight.error, LimitExceeded)
