@@ -18,7 +18,7 @@ heuristic of PEG error reporting).  There are two such engines:
   pops the rule-name stack of a per-parse :class:`DiagnosisRecord`;
 * the **reference diagnosis** :class:`_DiagRun` — a subclass of the
   reference interpreter's ``_Run`` calling the same functions.  It
-  serves interpreted and table-VM parsers, ``parse_recover``'s per-window
+  serves interpreted parsers, ``parse_recover``'s per-window
   diagnoses (:func:`repro.core.recover.diagnose_window`) and AOT modules
   (:func:`diagnose_failure`), and it is the oracle the compiled diagnosis
   is differentially tested against (``tests/test_compiled_diagnosis.py``).

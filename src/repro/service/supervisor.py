@@ -57,6 +57,14 @@ from .worker import worker_main
 
 __all__ = ["ParseService", "ServiceResult", "parse_many"]
 
+#: Serializes worker spawns across every pool in the process.  A fork
+#: copies all open fds, and ``Process.start`` closes the parent's copy of
+#: a new worker's sentinel write end only after its own fork returns; a
+#: fork by another pool's supervisor inside that window hands the write
+#: end to a foreign worker, and the sentinel then never fires when the
+#: new worker dies (its in-flight request sits until the deadline).
+_SPAWN_LOCK = threading.Lock()
+
 
 @dataclass
 class ServiceResult:
@@ -386,17 +394,18 @@ class ParseService:
     # -- worker lifecycle (all called with the lock held) ------------------
 
     def _spawn_locked(self, slot: _WorkerSlot) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         payload = self.config.worker_payload()
         payload["spool_dir"] = self._spool_dir
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(child_conn, payload),
-            name=f"repro-parse-worker-{slot.index}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()  # the parent's copy; the child keeps its own
+        with _SPAWN_LOCK:
+            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+            proc = self._ctx.Process(
+                target=worker_main,
+                args=(child_conn, payload),
+                name=f"repro-parse-worker-{slot.index}",
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()  # the parent's copy; the child keeps its own
         slot.proc = proc
         slot.conn = parent_conn
         slot.busy = None

@@ -85,8 +85,7 @@ def _set_wall(parser: Parser, soft_ms: Optional[int]) -> None:
     The interpreter and the reference diagnosis read ``parser.limits``
     per parse, and so does a compiled variant loaded later; one already
     loaded reads its module-global ``_wall_deadline`` factory (rebindable
-    by design — AOT modules' ``set_limits`` uses the same seam); the
-    table VM takes the dataclass.
+    by design — AOT modules' ``set_limits`` uses the same seam).
     """
     if soft_ms is None:
         return
@@ -98,8 +97,6 @@ def _set_wall(parser: Parser, soft_ms: Optional[int]) -> None:
     for compiled in parser._compilations():
         compiled._new_state.__globals__["_wall_deadline"] = factory
         compiled.limits = limits
-    if parser._tablevm is not None:
-        parser._tablevm.set_limits(limits)
 
 
 class _WorkerState:

@@ -1,13 +1,12 @@
 """Streaming parity for ahead-of-time emitted modules.
 
-``to_source()`` modules — closure- and table-backed — embed a vendored
-streaming runtime plus a stream-specialized variant of the grammar
-(re-compiled with the stream-safe pass set; second embedded plan for the
-table flavor).  This module pins the parity contract: for streamable
-grammars the emitted module's ``stream()`` / ``parse_stream()`` produce
-the same trees as its own batch entry points and as the in-process
-engines, across record-straddling chunk sizes, with bounded buffering
-and an idempotent ``finish()``.  Non-streamable grammars must refuse
+``to_source()`` modules embed a vendored streaming runtime plus a
+stream-specialized variant of the grammar (re-compiled with the
+stream-safe pass set).  This module pins the parity contract: for
+streamable grammars the emitted module's ``stream()`` /
+``parse_stream()`` produce the same trees as its own batch entry points
+and as the in-process engines, across record-straddling chunk sizes,
+with bounded buffering and an idempotent ``finish()``.  Non-streamable grammars must refuse
 with the vendored ``NotStreamableError``.
 """
 
@@ -23,34 +22,19 @@ CHUNK_SIZES = (1, 7, 23)
 _SEQ = [0]
 
 
-def _closure_module(fmt: str):
+def _module(fmt: str):
     spec = registry[fmt]
     _SEQ[0] += 1
     return compile_grammar(
         spec.grammar_text, blackboxes=dict(spec.blackboxes)
-    ).load_module(f"_aot_stream_closure_{_SEQ[0]}")
-
-
-def _table_module(fmt: str):
-    spec = registry[fmt]
-    _SEQ[0] += 1
-    parser = spec.build_parser(backend="tablevm")
-    return parser._tablevm.load_module(f"_aot_stream_table_{_SEQ[0]}")
-
-
-MODULE_BUILDERS = {"closure": _closure_module, "table": _table_module}
-
-
-@pytest.fixture(scope="module", params=sorted(MODULE_BUILDERS))
-def flavor(request):
-    return request.param
+    ).load_module(f"_aot_stream_{_SEQ[0]}")
 
 
 class TestEmittedModuleStreaming:
     @pytest.mark.parametrize("fmt", STREAMABLE_FORMATS)
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_parse_stream_matches_batch(self, flavor, fmt, chunk_size):
-        module = MODULE_BUILDERS[flavor](fmt)
+    def test_parse_stream_matches_batch(self, fmt, chunk_size):
+        module = _module(fmt)
         assert module.STREAMABLE
         data = format_sample(fmt)
         expected = module.parse(data)
@@ -61,8 +45,8 @@ class TestEmittedModuleStreaming:
         assert module.parse_stream(chunks) == expected
 
     @pytest.mark.parametrize("fmt", STREAMABLE_FORMATS)
-    def test_session_feed_finish_is_idempotent(self, flavor, fmt):
-        module = MODULE_BUILDERS[flavor](fmt)
+    def test_session_feed_finish_is_idempotent(self, fmt):
+        module = _module(fmt)
         data = format_sample(fmt)
         session = module.stream()
         for i in range(0, len(data), 7):
@@ -72,8 +56,8 @@ class TestEmittedModuleStreaming:
         assert session.finish() == tree
 
     @pytest.mark.parametrize("fmt", STREAMABLE_FORMATS)
-    def test_compaction_bounds_the_buffer(self, flavor, fmt):
-        module = MODULE_BUILDERS[flavor](fmt)
+    def test_compaction_bounds_the_buffer(self, fmt):
+        module = _module(fmt)
         data = format_sample(fmt)
         session = module.stream()
         peak = 0
@@ -85,8 +69,8 @@ class TestEmittedModuleStreaming:
         assert peak < len(data)
 
     @pytest.mark.parametrize("fmt", STREAMABLE_FORMATS)
-    def test_truncated_stream_fails_like_batch(self, flavor, fmt):
-        module = MODULE_BUILDERS[flavor](fmt)
+    def test_truncated_stream_fails_like_batch(self, fmt):
+        module = _module(fmt)
         data = format_sample(fmt)
         truncated = data[: len(data) // 2]
         try:
@@ -102,19 +86,19 @@ class TestEmittedModuleStreaming:
             streamed = (type(exc).__name__,)
         assert streamed == batch
 
-    def test_non_streamable_module_refuses(self, flavor):
-        module = MODULE_BUILDERS[flavor]("gif")
+    def test_non_streamable_module_refuses(self):
+        module = _module("gif")
         assert not module.STREAMABLE
         with pytest.raises(module.NotStreamableError):
             module.stream()
         with pytest.raises(module.NotStreamableError):
             module.parse_stream([format_sample("gif")])
 
-    def test_set_limits_reaches_the_stream_engine(self, flavor):
+    def test_set_limits_reaches_the_stream_engine(self):
         # dns only: ipv4 has no recursive rules, so nothing consumes fuel
         # and a tiny max_steps budget can never trip.
         fmt = "dns"
-        module = MODULE_BUILDERS[flavor](fmt)
+        module = _module(fmt)
         data = format_sample(fmt)
         module.set_limits(max_steps=2)
         try:

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from engine_matrix import format_sample, load_aot_module
 from repro import Parser, samples
 from repro.core.compiler import Optimizations, compile_grammar
+from repro.core.errors import IPGError
 from repro.core.interpreter import FAIL
 from repro.formats import registry, toy
 
@@ -99,8 +100,16 @@ def _compile_pair(grammar_text, config, blackboxes=None):
     compiled = compile_grammar(
         grammar_text, blackboxes=dict(blackboxes or {}), optimizations=config
     )
-    interpreted = Parser(grammar_text, blackboxes=dict(blackboxes or {}),
-                         backend="interpreted")
+    # The reference runs with first-byte dispatch and shape decoders off
+    # (the engine matrix's "interpreted-plain"), so it shares none of the
+    # analyses whose toggles are under test.
+    interpreted = Parser(
+        grammar_text,
+        blackboxes=dict(blackboxes or {}),
+        backend="interpreted",
+        first_byte_dispatch=False,
+        bulk_fixed_shape=False,
+    )
     return compiled, interpreted
 
 
@@ -156,6 +165,77 @@ class TestToggleEquivalence:
         )
         for config in TOGGLE_CONFIGS.values():
             _assert_config_equivalent(registry["dns"].grammar_text, config, packet)
+
+
+#: ``(grammar key, config name) -> (emitted module, plain interpreter)``:
+#: each emission runs the whole front end plus an ``exec``, so hypothesis
+#: examples share one pair.
+_AOT_TOGGLE_PAIRS = {}
+
+
+def _outcome(run, data):
+    try:
+        return ("tree", run(data))
+    except IPGError as exc:
+        return ("error", type(exc).__name__)
+
+
+def _assert_aot_config_equivalent(key, grammar_text, config, data, blackboxes=None):
+    pair = _AOT_TOGGLE_PAIRS.get((key, config))
+    if pair is None:
+        module = load_aot_module(
+            grammar_text,
+            blackboxes=blackboxes,
+            optimizations=TOGGLE_CONFIGS[config],
+        )
+        interpreted = Parser(
+            grammar_text,
+            blackboxes=dict(blackboxes or {}),
+            backend="interpreted",
+            first_byte_dispatch=False,
+            bulk_fixed_shape=False,
+        )
+        pair = _AOT_TOGGLE_PAIRS[(key, config)] = (module, interpreted)
+    module, interpreted = pair
+    assert _outcome(module.try_parse, data) == _outcome(interpreted.try_parse, data)
+
+
+class TestAOTToggleEquivalence:
+    """Every toggle config, emitted ahead of time and run through the
+    standalone module's own runtime prelude, against the plain interpreter.
+    """
+
+    @pytest.mark.parametrize("config", sorted(TOGGLE_CONFIGS))
+    @pytest.mark.parametrize("name", sorted(PASS_SENSITIVE_GRAMMARS))
+    @given(data=st.binary(min_size=0, max_size=24))
+    @settings(max_examples=15, deadline=None)
+    def test_pass_sensitive_grammars(self, config, name, data):
+        _assert_aot_config_equivalent(
+            ("pass", name), PASS_SENSITIVE_GRAMMARS[name], config, data
+        )
+
+    @pytest.mark.parametrize("config", sorted(TOGGLE_CONFIGS))
+    @pytest.mark.parametrize("name", sorted(toy.ALL_GRAMMARS))
+    @given(data=st.binary(min_size=0, max_size=16))
+    @settings(max_examples=15, deadline=None)
+    def test_toy_grammars(self, config, name, data):
+        _assert_aot_config_equivalent(
+            ("toy", name), toy.ALL_GRAMMARS[name], config, data
+        )
+
+    @pytest.mark.parametrize("config", sorted(TOGGLE_CONFIGS))
+    @pytest.mark.parametrize("fmt", ["zip", "dns", "elf"])
+    def test_format_grammars(self, config, fmt):
+        spec = registry[fmt]
+        sample = format_sample(fmt)
+        for data in (sample, sample[: len(sample) // 2]):
+            _assert_aot_config_equivalent(
+                ("format", fmt),
+                spec.grammar_text,
+                config,
+                data,
+                blackboxes=dict(spec.blackboxes),
+            )
 
 
 class TestAOTRoundTrip:

@@ -4,7 +4,7 @@
 ``spans`` lists every *committed* match of the requested rules as absolute
 ``(rule, start, end)`` byte offsets in post-order.  Matches inside
 abandoned alternatives (backtracked choice points) must not appear.  The
-contract holds identically on all three backends — recording disables
+contract holds identically on both backends — recording disables
 memoization and the decode fast paths, so the differential below is also
 a regression net for those de-optimized paths.
 """
@@ -27,7 +27,7 @@ CASES = {
     "pdf": {"Obj", "XrefEntry"},
 }
 
-BACKENDS = ("interpreted", "compiled", "tablevm")
+BACKENDS = ("interpreted", "compiled")
 
 
 def build(fmt: str, backend: str) -> Parser:

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
@@ -249,6 +250,98 @@ def test_chaos_requires_opt_in(dns_data):
     with ParseService(workers=1) as svc:
         with pytest.raises(ServiceError):
             svc.submit_chaos("exit")
+
+
+def test_unknown_backend_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+        ServiceConfig(backend="bogus")
+    with pytest.raises(ValueError, match="unknown backend"):
+        ParseService(backend="closures")
+
+
+def _pipe_write_ends(pid: int) -> set:
+    """The ``pipe:[inode]`` links a process holds open for writing."""
+    links = set()
+    try:
+        fds = os.listdir(f"/proc/{pid}/fd")
+    except OSError:
+        return links
+    for fd in fds:
+        try:
+            link = os.readlink(f"/proc/{pid}/fd/{fd}")
+            if not link.startswith("pipe:"):
+                continue
+            with open(f"/proc/{pid}/fdinfo/{fd}") as info:
+                flags = next(line for line in info if line.startswith("flags:"))
+        except (OSError, StopIteration):
+            continue
+        if int(flags.split()[1], 8) & 3 == os.O_WRONLY:
+            links.add(link)
+    return links
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fdinfo"), reason="needs /proc fd introspection"
+)
+def test_concurrent_pools_never_share_sentinel_write_ends():
+    # Two pools respawning at once: a fork by one supervisor must never
+    # inherit the write end of a worker sentinel the other is creating,
+    # or that worker's death goes unseen until the request's deadline.
+    pools = [
+        ParseService(
+            workers=2,
+            allow_chaos=True,
+            seed=seed,
+            spawn_backoff_base=0.0,
+            spawn_backoff_cap=0.0,
+        )
+        for seed in (1, 2)
+    ]
+    stop = threading.Event()
+
+    def churn(pool):
+        while not stop.is_set():
+            pool.submit_chaos("exit").result()
+            pool.submit_chaos("hang", seconds=0.0).result()  # resets backoff
+
+    threads = [threading.Thread(target=churn, args=(pool,)) for pool in pools]
+    for thread in threads:
+        thread.start()
+    leaks, checked = [], set()
+    try:
+        end = time.monotonic() + 3.0
+        while time.monotonic() < end:
+            live = []
+            for pool in pools:
+                # Under the pool lock the sentinel fd is still open, so
+                # its number cannot have been reused for another pipe.
+                with pool._lock:
+                    live += [
+                        (slot.proc.pid, os.readlink(f"/proc/self/fd/{fd}"))
+                        for slot in pool._slots
+                        if slot.proc is not None
+                        for fd in (slot.proc.sentinel,)
+                    ]
+            write_ends = {pid: _pipe_write_ends(pid) for pid, _ in live}
+            for pid, link in live:
+                if (pid, link) in checked:
+                    continue
+                checked.add((pid, link))
+                leaks += [
+                    (pid, other)
+                    for other, links in write_ends.items()
+                    if other != pid and link in links
+                ]
+            time.sleep(0.002)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        for pool in pools:
+            pool.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(checked) > 8  # the pools really respawned concurrently
+    assert not leaks, f"(worker, foreign holder of its sentinel) pairs: {leaks}"
 
 
 # ---------------------------------------------------------------------------

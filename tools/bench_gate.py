@@ -8,8 +8,6 @@ committed value.  Gated medians:
 
 * ``median_speedup`` — compiled tree-mode vs the frozen interpreter,
 * ``aot_median_speedup`` — the ahead-of-time emitted module,
-* ``tablevm_median_speedup`` — the table-driven dispatch VM executing
-  the same lowered plan the closure backend specializes,
 * ``validate_median_speedup_vs_tree`` — the tree-elision fast path,
 * ``streaming_median_speedup`` — chunked streaming on the §8-streamable
   formats.
@@ -59,7 +57,6 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GATED_MEDIANS = (
     ("median_speedup", "median compiled speedup"),
     ("aot_median_speedup", "median AOT speedup"),
-    ("tablevm_median_speedup", "median table-VM speedup"),
     ("validate_median_speedup_vs_tree", "median validate-only speedup vs tree"),
     ("streaming_median_speedup", "median streaming speedup"),
 )
@@ -68,8 +65,6 @@ GATED_MEDIANS = (
 _FORMAT_METRICS = (
     "speedup",
     "aot_speedup",
-    "tablevm_speedup",
-    "tablevm_vs_compiled",
     "validate_speedup_vs_tree",
     "streaming_speedup",
 )
@@ -126,13 +121,9 @@ def gate(current_path: str, baseline_path: str, tolerance: float) -> int:
         if measured < floor:
             failures.append(label)
     for name, entry in sorted(current.get("formats", {}).items()):
-        closure_size = entry.get("aot_module_bytes")
-        table_size = entry.get("aot_table_module_bytes")
-        if closure_size or table_size:
-            print(
-                f"bench-gate: {name:6s} AOT module size: {closure_size} B "
-                f"(closure) / {table_size} B (table)"
-            )
+        size = entry.get("aot_module_bytes")
+        if size:
+            print(f"bench-gate: {name:6s} AOT module size: {size} B")
     if failures:
         print(
             f"bench-gate: FAILED — {', '.join(failures)} regressed more than "
