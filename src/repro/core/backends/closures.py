@@ -88,6 +88,7 @@ elide_tree=False)``
 
 from __future__ import annotations
 
+import functools
 import re
 import struct
 import sys
@@ -164,33 +165,72 @@ _FIXED_INTS = {
 # Runtime support (injected into the generated module's globals)
 # ---------------------------------------------------------------------------
 
-_node_new = Node.__new__
-_leaf_new = Leaf.__new__
-_array_new = ArrayNode.__new__
-
-
-def _mk_node(name, env, children):
+def _mk_node(name, env, children, _new=Node.__new__):
     """Allocate a Node without the constructor's defensive copies."""
-    node = _node_new(Node)
+    node = _new(Node)
     node.name = name
     node.env = env
     node.children = children
     return node
 
 
-def _mk_leaf(value):
+def _mk_leaf(value, _new=Leaf.__new__):
     # Generated code passes raw input slices; on a memoryview-backed parse
     # this is where a payload becomes real bytes (the only copy made).
-    leaf = _leaf_new(Leaf)
+    leaf = _new(Leaf)
     leaf.value = value if type(value) is bytes else bytes(value)
     return leaf
 
 
-def _mk_array(name, elements):
-    array = _array_new(ArrayNode)
+def _mk_array(name, elements, _new=ArrayNode.__new__):
+    array = _new(ArrayNode)
     array.name = name
     array.elements = elements
     return array
+
+
+def _int_leaf_tables(fixed_ints):
+    """Shared leaves for the small values of unsigned fixed-width integers.
+
+    Maps each unsigned builtin of ``fixed_ints`` to a tuple whose entry
+    ``v`` is the Leaf of value ``v`` in that builtin's byte layout, for
+    every ``v < 256``.  Tree-mode parses take a small field's leaf from
+    its table instead of allocating one; larger values and signed
+    builtins still get a fresh leaf of their input window.  Leaves are
+    immutable values, so every tree may share them (as with the
+    compiler's literal-terminal constants).
+    """
+    return {
+        name: tuple(
+            _mk_leaf(value.to_bytes(width, byteorder)) for value in range(256)
+        )
+        for name, (width, byteorder, signed) in fixed_ints.items()
+        if not signed
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _int_leaves():
+    """The shared-leaf tables of ``_FIXED_INTS``, built once, on first use.
+
+    Only tree-building loads need them, so a process that only validates
+    (tree-elided and diagnosis compilations) never allocates them.
+    """
+    return _int_leaf_tables(_FIXED_INTS)
+
+
+def _int_leaf_table(name):
+    """The global generated code reads builtin ``name``'s table from.
+
+    ``None`` when the builtin has no shared-leaf table.
+    """
+    spec = _FIXED_INTS.get(name)
+    return "_L" + name if spec is not None and not spec[2] else None
+
+
+def _int_leaf_globals():
+    """The tables under those globals, for a tree-building namespace."""
+    return {_int_leaf_table(name): table for name, table in _int_leaves().items()}
 
 
 #: Poison value marking a loop-variable local (or a closure cell) whose
@@ -316,24 +356,34 @@ def _exists(length, condition, then, otherwise):
     return otherwise()
 
 
-def _wrap_outcome(name, attrs, end, payload, length):
-    """Build the (unrebased) node a builtin/blackbox outcome denotes."""
+def _wrap_outcome(name, attrs, end, payload, length, table=None):
+    """Build the (unrebased) node a builtin/blackbox outcome denotes.
+
+    ``table`` is the builtin's shared-leaf table (``_int_leaves``), whose
+    entry replaces a fresh payload leaf for values below 256.
+    """
     env = {"EOI": length, "start": 0 if end else length, "end": end}
     env.update(attrs)
-    children = [Leaf(payload)] if payload is not None else []
+    if payload is None:
+        children = []
+    elif table is not None and attrs["val"] < 256:
+        children = [table[attrs["val"]]]
+    else:
+        children = [_mk_leaf(payload)]
     return _mk_node(name, env, children)
 
 
 def _make_builtin_runner(name):
     """Specialize a builtin's parse-and-wrap (bound at compile time)."""
     parse = BUILTINS[name].parse
+    table = _int_leaves()[name] if _int_leaf_table(name) else None
 
     def run(data, lo, hi):
         outcome = parse(data, lo, hi)
         if outcome is BUILTIN_FAIL:
             return FAIL
         attrs, end, payload = outcome
-        return _wrap_outcome(name, attrs, end, payload, hi - lo)
+        return _wrap_outcome(name, attrs, end, payload, hi - lo, table)
 
     return run
 
@@ -2028,19 +2078,24 @@ class _GrammarCompiler:
             body += too_small
         position = self.namer.fresh("_p")
         body.append(f"{position} = {self._abs(left)}")
-        if self.elide and width == 1 and not signed:
-            # No Leaf is kept, so the one-byte window never materializes.
+        if width == 1 and not signed:
+            # The one-byte window never materializes: a tree takes the
+            # value's shared leaf.
             window = None
             value = f"data[{position}]"
         else:
             window = self.namer.fresh("_w")
             body.append(f"{window} = data[{position}:{position} + {width}]")
-            if width == 1 and not signed:
-                value = f"{window}[0]"
-            elif signed:
+            if signed:
                 value = f"_ifb({window}, {byteorder!r}, signed=True)"
             else:
                 value = f"_ifb({window}, {byteorder!r})"
+        table = None if self.elide else _int_leaf_table(name)
+        if table is not None:
+            # The value feeds both the env and the table lookup.
+            local = self.namer.fresh("_v")
+            body.append(f"{local} = {value}")
+            value = local
         env = self.namer.fresh("_e")
         end = self._plus(left, width)
         try:
@@ -2054,7 +2109,13 @@ class _GrammarCompiler:
             node = None
         else:
             node = self.namer.fresh("_d")
-            body.append(f"{node} = _mk_node({name!r}, {env}, [_mk_leaf({window})])")
+            if table is None:
+                leaf = f"_mk_leaf({window})"
+            elif window is None:
+                leaf = f"{table}[{value}]"
+            else:
+                leaf = f"{table}[{value}] if {value} < 256 else _mk_leaf({window})"
+            body.append(f"{node} = _mk_node({name!r}, {env}, [{leaf}])")
         body.append(f"if {left} < {scope.start}:")
         body.append(f"    {scope.start} = {left}")
         body.append(f"if {end} > {scope.end}:")
@@ -2611,6 +2672,8 @@ class StagedGrammar:
             "_struct": struct,
             "_bb": _make_blackbox_runner(self.registry, elide_tree=compiler.elide),
         }
+        if not compiler.elide:
+            namespace.update(_int_leaf_globals())
         if compiler.diagnose:
             from .. import diagnose  # deferred: diagnose imports the interpreter
 

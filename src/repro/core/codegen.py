@@ -34,13 +34,14 @@ from __future__ import annotations
 from typing import Optional
 
 #: Runtime support emitted into every standalone module (and once, as the
-#: shared ``_prelude`` module, per package).  Everything the generated rule
-#: functions reference lives here (or in the per-grammar constants section
-#: rendered by :func:`render_standalone_module`) except the blackbox
-#: *registry*, which is per-module state (:data:`_PRELUDE_BLACKBOX`); the
-#: only non-stdlib import is the *optional* reuse of repro's parse-tree
-#: classes.
-_PRELUDE_BASE = '''\
+#: shared ``_prelude`` module, per package), in two halves around the
+#: allocation runtime vendored from the closure backend
+#: (:func:`_prelude_base`).  Everything the generated rule functions
+#: reference lives there (or in the per-grammar constants section rendered
+#: by :func:`render_standalone_module`) except the blackbox *registry*,
+#: which is per-module state (:data:`_PRELUDE_BLACKBOX`); the only
+#: non-stdlib import is the *optional* reuse of repro's parse-tree classes.
+_PRELUDE_HEAD = '''\
 import struct as _struct
 import sys as _sys
 from time import monotonic as _monotonic
@@ -284,28 +285,9 @@ except ImportError:
         def __repr__(self):
             return f"Node({self.name}, attrs={self.attrs}, children={len(self.children)})"
 
+'''
 
-_node_new = Node.__new__
-_leaf_new = Leaf.__new__
-_array_new = ArrayNode.__new__
-
-
-def _mk_node(name, env, children):
-    node = _node_new(Node)
-    node.name = name
-    node.env = env
-    node.children = children
-    return node
-
-
-def _mk_leaf(value):
-    # Rule bodies pass raw input slices; on a memoryview-backed parse this
-    # is where a payload becomes real bytes (the only copy made).
-    leaf = _leaf_new(Leaf)
-    leaf.value = value if type(value) is bytes else bytes(value)
-    return leaf
-
-
+_PRELUDE_TAIL = '''\
 def _as_buffer(data):
     # Zero-copy input normalization (mirrors repro.core.buffers.as_buffer):
     # bytes passes through; any other buffer-protocol object (bytearray,
@@ -322,13 +304,6 @@ def _as_buffer(data):
     if view.ndim != 1 or view.format != "B":
         view = view.cast("B")
     return view
-
-
-def _mk_array(name, elements):
-    array = _array_new(ArrayNode)
-    array.name = name
-    array.elements = elements
-    return array
 
 
 # -- expression runtime ------------------------------------------------------
@@ -474,22 +449,16 @@ _BUILTINS = {
 }
 
 
-def _wrap_outcome(name, attrs, end, payload, length):
-    env = {"EOI": length, "start": 0 if end else length, "end": end}
-    env.update(attrs)
-    children = [_mk_leaf(payload)] if payload is not None else []
-    return _mk_node(name, env, children)
-
-
 def _make_builtin_runner(name):
     parse = _BUILTINS[name]
+    table = _INT_LEAVES.get(name)
 
     def run(data, lo, hi):
         outcome = parse(data, lo, hi)
         if outcome is _BFAIL:
             return FAIL
         attrs, end, payload = outcome
-        return _wrap_outcome(name, attrs, end, payload, hi - lo)
+        return _wrap_outcome(name, attrs, end, payload, hi - lo, table)
 
     return run
 
@@ -575,9 +544,61 @@ def _bb(name, data, lo, hi):
     return _wrap_outcome(name, attrs, end, payload, hi - lo)
 '''
 
-#: The full standalone prelude: shared runtime plus the per-module
-#: blackbox registry.
-_PRELUDE = _PRELUDE_BASE + "\n\n" + _PRELUDE_BLACKBOX
+_PRELUDE_BASE_CACHE: Optional[str] = None
+
+
+def _prelude_base() -> str:
+    """The shared runtime prelude, with the allocation runtime vendored.
+
+    ``_mk_node`` / ``_mk_leaf`` / ``_mk_array``, ``_wrap_outcome`` and the
+    shared-leaf tables come from :mod:`repro.core.backends.closures` at
+    render time, so emitted modules allocate exactly like the in-process
+    engine.  The tables are rebuilt at import from ``_FIXED_INTS`` (the
+    registry's integer layouts, rendered as data) and bound as the
+    ``_L<builtin>`` globals the generated rule functions read.
+    """
+    global _PRELUDE_BASE_CACHE
+    if _PRELUDE_BASE_CACHE is None:
+        import inspect
+
+        from .backends import closures
+
+        vendored = "\n\n\n".join(
+            inspect.getsource(fn).rstrip("\n")
+            for fn in (
+                closures._mk_node,
+                closures._mk_leaf,
+                closures._mk_array,
+                closures._int_leaf_tables,
+                closures._wrap_outcome,
+            )
+        )
+        _PRELUDE_BASE_CACHE = "\n".join(
+            [
+                _PRELUDE_HEAD,
+                vendored,
+                "",
+                "",
+                "#: (width, byteorder, signed) of the fixed-width integer builtins.",
+                "_FIXED_INTS = {",
+                *(
+                    f"    {name!r}: {layout!r},"
+                    for name, layout in closures._FIXED_INTS.items()
+                ),
+                "}",
+                "_INT_LEAVES = _int_leaf_tables(_FIXED_INTS)",
+                *(
+                    f"{closures._int_leaf_table(name)} = _INT_LEAVES[{name!r}]"
+                    for name in closures._FIXED_INTS
+                    if closures._int_leaf_table(name)
+                ),
+                "",
+                "",
+                _PRELUDE_TAIL,
+            ]
+        )
+    return _PRELUDE_BASE_CACHE
+
 
 #: Public API of every emitted module: budgets, ``parse_nonterminal``
 #: (resolving nonterminals through the generated ``_ENTRY`` table) and
@@ -1075,7 +1096,7 @@ def render_package(compiled_by_name, package_doc: Optional[str] = None):
         [
             '"""Shared runtime prelude for the generated parser package."""',
             "",
-            _PRELUDE_BASE,
+            _prelude_base(),
         ]
     )
     if package_doc is None:
@@ -1096,7 +1117,10 @@ def render_package(compiled_by_name, package_doc: Optional[str] = None):
             "",
         ]
     )
-    imports = ",\n    ".join(_PACKAGE_IMPORTS)
+    from .backends.closures import _FIXED_INTS, _int_leaf_table
+
+    tables = tuple(sorted(filter(None, map(_int_leaf_table, _FIXED_INTS))))
+    imports = ",\n    ".join(_PACKAGE_IMPORTS + tables)
     for name, module in modules.items():
         compiled = compiled_by_name[name]
         grammar = compiled.grammar
@@ -1175,7 +1199,9 @@ def render_standalone_module(
         "",
         "from __future__ import annotations",
         "",
-        _PRELUDE,
+        _prelude_base(),
+        "",
+        _PRELUDE_BLACKBOX,
         "",
         "# -- grammar constants -------------------------------------------------------",
         "",

@@ -25,6 +25,7 @@ from .backends.closures import (  # noqa: F401
     _aidx,
     _aidx_env,
     _exists,
+    _int_leaf_globals,
     _limit_refill,
     _limit_steps,
     _make_blackbox_runner,

@@ -37,7 +37,14 @@ class ParseTree:
 
 
 class Leaf(ParseTree):
-    """A matched terminal string."""
+    """A matched terminal string.
+
+    Leaves are immutable values, and compiled trees share them: every
+    literal terminal has one ``Leaf`` for all trees of a grammar, and an
+    unsigned fixed-width integer field below 256 takes its ``Leaf`` from a
+    table built once per builtin.  Never assign to ``value``; copy it
+    (``bytearray(leaf.value)``) before mutating.
+    """
 
     __slots__ = ("value",)
 

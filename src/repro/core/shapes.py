@@ -1273,7 +1273,9 @@ def emit_plan_code(
     the frame (bulk array elements) builds the top env itself from
     ``attr_locals`` and the plan's static span.  ``leaf_const`` interns
     literal leaves (the compiler's shared constants); by default literals
-    are rebuilt inline.  The caller is responsible for the ``window >=
+    are rebuilt inline.  Unsigned integer fields below 256 take their leaf
+    from the shared tables of ``closures._int_leaves`` (bound in the
+    caller's namespace).  The caller is responsible for the ``window >=
     plan.needed`` bounds check and for the ``unpack``/``unpack_from``
     call producing ``slot_var``.
 
@@ -1281,6 +1283,8 @@ def emit_plan_code(
     runtime anchor (the gap's frame-relative ``end``): env positions render
     as ``rel_base + k`` and ``abs_base`` must already include the anchor.
     """
+    from .backends.closures import _int_leaf_table
+
     code = PlanCode()
 
     def slot_src(field: _Field) -> str:
@@ -1335,9 +1339,17 @@ def emit_plan_code(
                 f"{data_var}[{_add_src(abs_base, field.offset)}:"
                 f"{_add_src(abs_base, field.offset + field.width)}]"
             )
+            table = _int_leaf_table(field.name)
+            value = slot_src(field)
+            if table is None:
+                payload = f"_mk_leaf({window})"
+            elif field.width == 1:
+                payload = f"{table}[{value}]"
+            else:
+                payload = f"{table}[{value}] if {value} < 256 else _mk_leaf({window})"
             return (
                 f"_mk_node({field.name!r}, {int_env(field, rel, frame_eoi)}, "
-                f"[_mk_leaf({window})])"
+                f"[{payload}])"
             )
         if field.kind == "bytes":
             payload = f"_mk_leaf({slot_src(field)})" if field.width else "_mk_leaf(b'')"
@@ -1481,7 +1493,13 @@ def _decoder_source(plan: AltShape, build_tree: bool) -> str:
 
 def make_decoder(plan: AltShape, build_tree: bool = True):
     """Exec a plan into a callable ``(data, lo, hi) -> Node | FAIL``."""
-    from .compiler import _SHARED_EMPTY, _mk_array, _mk_leaf, _mk_node
+    from .compiler import (
+        _SHARED_EMPTY,
+        _int_leaf_globals,
+        _mk_array,
+        _mk_leaf,
+        _mk_node,
+    )
     from .interpreter import FAIL
     from .runtime import _div, _mod, _shift_l, _shift_r
 
@@ -1498,6 +1516,8 @@ def make_decoder(plan: AltShape, build_tree: bool = True):
         "_shift_r": _shift_r,
         "_S": struct.Struct(plan.fmt) if plan.fmt else None,
     }
+    if build_tree:
+        namespace.update(_int_leaf_globals())
     exec(
         compile(_decoder_source(plan, build_tree), "<ipg-shape-decoder>", "exec"),
         namespace,

@@ -415,7 +415,10 @@ class ParseService:
             self._stats["respawns"] += 1
 
     def _backoff_locked(self, slot: _WorkerSlot) -> float:
-        exponent = max(0, slot.consecutive_failures - 1)
+        # Clamped: 2**1024 times a float base overflows, and a slot can fail
+        # that often in a row (zero-backoff churn); 2**64 times any useful
+        # base is far past the cap already.
+        exponent = min(max(0, slot.consecutive_failures - 1), 64)
         base = min(
             self.config.spawn_backoff_cap,
             self.config.spawn_backoff_base * (2**exponent),
